@@ -5,7 +5,8 @@ compares what *is* deterministic:
 
 1. **Work counters** — the probe counters snapshotted into each
    ``results/*.json`` record (pair comparisons, context refinements,
-   index probes, kernel batches).  They are a pure function of the
+   index probes, kernel batches, and the MMCS search nodes and hitting
+   sets of the Figure 13 static fits).  They are a pure function of the
    workload, so any change means the engine is doing different work —
    a counter that grew beyond the tolerance fails the gate.
 2. **State digests** — SHA-256 of the canonical serialized state after

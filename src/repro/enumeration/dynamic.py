@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from repro.enumeration.inversion import maximal_masks, minimize_masks, refine_sigma
-from repro.enumeration.mmcs import mmcs_hitting_sets
+from repro.enumeration.mmcs import minimal_edges, mmcs_hitting_sets
 from repro.enumeration.settrie import SetTrie
 from repro.observability.probe import get_probe
 from repro.predicates.space import PredicateSpace
@@ -77,17 +77,6 @@ def _still_minimal(dc_mask: int, remaining_masks: Sequence[int]) -> bool:
             if marked == dc_mask:
                 return True
     return marked == dc_mask
-
-
-def _minimize_edges(edges: List[int]) -> List[int]:
-    """Keep only the minimal restricted edges (supersets are implied)."""
-    unique = sorted(set(edges), key=lambda edge: edge.bit_count())
-    kept: List[int] = []
-    for edge in unique:
-        if any(small & edge == small for small in kept):
-            continue
-        kept.append(edge)
-    return kept
 
 
 def dynei_delete(
@@ -149,7 +138,7 @@ def dynei_delete(
     remaining_complements = [full_mask & ~evidence for evidence in remaining]
     new_masks: List[int] = []
     for removed in removed_evidence_masks:
-        restricted = _minimize_edges(
+        restricted = minimal_edges(
             [complement & removed for complement in remaining_complements]
         )
         new_masks.extend(

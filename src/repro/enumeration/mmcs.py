@@ -22,29 +22,42 @@ from repro.observability.probe import get_probe
 from repro.predicates.space import PredicateSpace
 
 
-def complement_edges(space: PredicateSpace, evidence_masks: Iterable[int]) -> List[int]:
-    """Deduplicated, minimized hyperedges ``P \\ e``.
-
-    An edge that is a superset of another is hit whenever the smaller one
-    is, so it can be dropped without changing the minimal hitting sets.
-    """
-    full_mask = space.full_mask
-    edges = sorted(
-        {full_mask & ~evidence for evidence in evidence_masks},
-        key=lambda mask: mask.bit_count(),
-    )
-    minimized = []
-    for edge in edges:
-        if any(kept & edge == kept for kept in minimized):
+def minimal_edges(edges: Iterable[int]) -> List[int]:
+    """Deduplicated edges without supersets of other edges (a superset is
+    hit whenever its subset is).  Edges go by ascending size; one is
+    covered iff some kept edge has no vertex outside it, i.e. is in no
+    ``kept_hit[v]`` (the kept edges containing ``v``) for ``v`` outside."""
+    unique = sorted(set(edges), key=lambda edge: edge.bit_count())
+    vertices = 0
+    for edge in unique:
+        vertices |= edge
+    kept_hit = [0] * vertices.bit_length()
+    kept: List[int] = []
+    for edge in unique:
+        outside = 0
+        for vertex in iter_bits(vertices & ~edge):
+            outside |= kept_hit[vertex]
+        if ((1 << len(kept)) - 1) & ~outside:
             continue
-        minimized.append(edge)
-    return minimized
+        for vertex in iter_bits(edge):
+            kept_hit[vertex] |= 1 << len(kept)
+        kept.append(edge)
+    return kept
+
+
+def complement_edges(space: PredicateSpace, evidence_masks: Iterable[int]) -> List[int]:
+    """Deduplicated, minimized hyperedges ``P \\ e``."""
+    full_mask = space.full_mask
+    return minimal_edges(full_mask & ~evidence for evidence in evidence_masks)
 
 
 def mmcs_hitting_sets(
     space: PredicateSpace, edges: List[int], universe_mask: int = None
 ) -> List[int]:
     """All minimal, satisfiable hitting sets of ``edges`` as bitmasks.
+
+    Edge sets (``uncov``, each member's critical edges) are int bitsets
+    over edge indices, updated against ``hit_by[v]`` with ``&``/``&~``.
 
     :param universe_mask: restrict hitting sets to subsets of this mask
         (used by DynEI's targeted delete re-grow); edges that do not
@@ -57,51 +70,53 @@ def mmcs_hitting_sets(
         return [0]
     if any(edge & universe_mask == 0 for edge in edges):
         return []
-    satisfiable_with = space.satisfiable_with
-    n_edges = len(edges)
-    nodes = [0]  # search-node counter (one cell: cheap nonlocal increment)
+    hit_by = [0] * space.n_bits  # per vertex: the edges containing it
+    for index, edge in enumerate(edges):
+        for vertex in iter_bits(edge):
+            hit_by[vertex] |= 1 << index
+    group_mask = space.group_mask_of_bit
+    satisfiable_states = space.satisfiable_states
+    nodes = 0
 
-    def recurse(current: int, crit: dict, uncov: list, cand: int) -> None:
-        nodes[0] += 1
+    def recurse(current: int, crit: list, uncov: int, cand: int) -> None:
+        nonlocal nodes
+        nodes += 1
         if not uncov:
             results.append(current)
             return
-        # Choose the uncovered edge with the fewest candidate vertices.
-        chosen = min(uncov, key=lambda index: (edges[index] & cand).bit_count())
-        branch_vertices = edges[chosen] & cand
+        # Branch on the first uncovered edge with the fewest candidate
+        # vertices (ascending index: the tie-break of ``min`` on a list).
+        fewest = cand.bit_count() + 1  # beaten by the first edge scanned
+        rest = uncov
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            vertices = edges[low.bit_length() - 1] & cand
+            if vertices.bit_count() < fewest:
+                branch_vertices, fewest = vertices, vertices.bit_count()
         if not branch_vertices:
             return
         remaining_cand = cand
-        for vertex in iter_bits(branch_vertices):
-            remaining_cand &= ~(1 << vertex)
-            if not satisfiable_with(current, vertex):
+        while branch_vertices:
+            low = branch_vertices & -branch_vertices
+            branch_vertices ^= low
+            remaining_cand ^= low
+            vertex = low.bit_length() - 1
+            if (current & group_mask[vertex]) not in satisfiable_states[vertex]:
                 continue
-            # New criticality: vertices of `current` keep only critical
-            # edges the new vertex does not hit; prune when one starves.
-            new_crit = {}
-            starved = False
-            for member, member_edges in crit.items():
-                filtered = [
-                    index for index in member_edges if not (edges[index] >> vertex) & 1
-                ]
-                if not filtered:
-                    starved = True
-                    break
-                new_crit[member] = filtered
-            if starved:
+            # Members of `current` keep only the critical edges the new
+            # vertex does not hit; prune when one starves.
+            missed = ~hit_by[vertex]
+            new_crit = [member_edges & missed for member_edges in crit]
+            if not all(new_crit):
                 continue
-            new_crit[vertex] = [
-                index for index in uncov if (edges[index] >> vertex) & 1
-            ]
-            new_uncov = [
-                index for index in uncov if not (edges[index] >> vertex) & 1
-            ]
-            recurse(current | (1 << vertex), new_crit, new_uncov, remaining_cand)
+            new_crit.append(uncov & hit_by[vertex])
+            recurse(current | low, new_crit, uncov & missed, remaining_cand)
 
-    recurse(0, {}, list(range(n_edges)), universe_mask)
+    recurse(0, [], (1 << len(edges)) - 1, universe_mask)
     probe = get_probe()
     if probe is not None:
-        probe.inc("enumeration.search_nodes", nodes[0])
+        probe.inc("enumeration.search_nodes", nodes)
         probe.inc("enumeration.hitting_sets", len(results))
     return results
 

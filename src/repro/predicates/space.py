@@ -15,7 +15,9 @@ fast:
   lookup tables.
 - **Satisfiable patterns**: per group, the operator subsets a real tuple
   pair can satisfy (Trichotomy Law); candidates whose bits violate them
-  are trivial DCs and are pruned at generation time.
+  are trivial DCs and are pruned at generation time.  Each bit compiles
+  them into a table of the group-local states it may join, so the
+  incremental check is one ``frozenset`` lookup.
 """
 
 from __future__ import annotations
@@ -97,6 +99,10 @@ class PredicateGroup:
         self.ahead_bits = self.lt_bits
         self.patterns = tuple(bits(pattern) for pattern in patterns)
 
+    def fits(self, bits: int) -> bool:
+        """Whether some pattern admits all of ``bits`` (within this group)."""
+        return any(bits & ~pattern == 0 for pattern in self.patterns)
+
     @property
     def is_single_column(self) -> bool:
         return self.lhs_position == self.rhs_position
@@ -139,6 +145,10 @@ class PredicateSpace:
                     ]
         self.sym = self._build_symmetry_permutation()
         self._sym_tables = self._build_symmetry_tables()
+        # Compiled satisfiability: ``satisfiable_states[bit]`` holds the
+        # group-local states ``s`` for which ``s | bit`` fits a pattern.
+        self.group_mask_of_bit = [group.mask for group in self.group_of_bit]
+        self.satisfiable_states = self._build_satisfiability_table()
 
     # -- construction helpers -------------------------------------------------
 
@@ -172,6 +182,19 @@ class PredicateSpace:
                 table[byte_value] = mask
             tables.append(table)
         return tables
+
+    def _build_satisfiability_table(self) -> list:
+        table = [None] * self.n_bits
+        for group in self.groups:
+            states = [0]  # every subset of the group's bits (at most 2^6)
+            for bit in group.bit_of_op.values():
+                states += [state | (1 << bit) for state in states]
+            fitting = {state for state in states if group.fits(state)}
+            for bit in group.bit_of_op.values():
+                table[bit] = frozenset(
+                    state for state in states if (state | (1 << bit)) in fitting
+                )
+        return table
 
     # -- bit-level API ----------------------------------------------------------
 
@@ -221,16 +244,14 @@ class PredicateSpace:
         """Whether ``mask | (1 << bit)`` stays satisfiable, given that
         ``mask`` already is.  Only the group of ``bit`` needs rechecking
         because satisfiability is per-group."""
-        group = self.group_of_bit[bit]
-        bits = (mask | (1 << bit)) & group.mask
-        return any(bits & ~pattern == 0 for pattern in group.patterns)
+        return (mask & self.group_mask_of_bit[bit]) in self.satisfiable_states[bit]
 
     def satisfiable(self, mask: int) -> bool:
         """Whether some tuple-pair valuation can satisfy all predicates in
         ``mask`` simultaneously (per-group Trichotomy check)."""
         for group in self.groups:
             bits = mask & group.mask
-            if bits and not any(bits & ~pattern == 0 for pattern in group.patterns):
+            if bits and not group.fits(bits):
                 return False
         return True
 

@@ -742,7 +742,8 @@ class DCService:
         return snapshot.verify_payload(limit=limit)
 
     def log_payload(self, since: int) -> dict:
-        """Commit history with seq > ``since`` (bounded by construction)."""
+        """Commit history with seq > ``since``.  Not bounded:
+        ``commit_log`` keeps every commit since start-up, rows included."""
         entries = [
             entry for entry in list(self.commit_log) if entry["seq"] > since
         ]

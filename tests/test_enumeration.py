@@ -8,7 +8,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from repro.core.discoverer import DCDiscoverer
 from repro.enumeration import (
     DynHS,
     dfs_enumerate,
@@ -19,7 +22,7 @@ from repro.enumeration import (
     mmcs_enumerate,
 )
 from repro.enumeration.inversion import maximal_masks
-from repro.enumeration.mmcs import complement_edges
+from repro.enumeration.mmcs import complement_edges, minimal_edges, mmcs_hitting_sets
 from repro.evidence import (
     apply_delete_evidence,
     apply_insert_evidence,
@@ -28,7 +31,9 @@ from repro.evidence import (
     incremental_evidence_for_insert,
     naive_evidence_set,
 )
-from repro.predicates import build_predicate_space
+from repro.predicates import Operator, build_predicate_space
+from repro.relational import relation_from_rows
+from repro.workloads import DATASETS
 from tests.conftest import random_rows
 
 
@@ -70,6 +75,138 @@ class TestHelpers:
             for j, other in enumerate(edges):
                 if i != j:
                     assert not (other & edge == other), "superset edge kept"
+
+    def test_minimal_edges_nested_and_duplicates(self):
+        edges = [0b0111, 0b0011, 0b0011, 0b0100, 0b1100, 0b0110, 0b1000]
+        assert sorted(minimal_edges(edges)) == [0b0011, 0b0100, 0b1000]
+        # The empty edge is a subset of every edge.
+        assert minimal_edges([0b101, 0, 0b1, 0]) == [0]
+        assert minimal_edges([]) == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_minimal_edges_matches_pairwise_scan(self, seed):
+        rng = random.Random(seed)
+        edges = [rng.getrandbits(8) | rng.getrandbits(8) for _ in range(60)]
+        reference = []
+        for edge in sorted(set(edges), key=lambda edge: edge.bit_count()):
+            if not any(kept & edge == kept for kept in reference):
+                reference.append(edge)
+        assert minimal_edges(edges) == reference
+
+
+#: A space small enough to enumerate every predicate subset: two numeric
+#: columns and one categorical column, no cross-column groups (14 bits).
+_ORACLE_SPACE = build_predicate_space(
+    relation_from_rows(["A", "B", "C"], [(1, "a", 2), (2, "b", 1)]),
+    allow_cross_columns=False,
+)
+
+
+def _brute_force_hitting_sets(space, edges, universe_mask):
+    """Minimal satisfiable hitting sets of ``edges`` inside the universe,
+    by checking every subset of the universe."""
+
+    def hits(mask):
+        return all(edge & mask for edge in edges)
+
+    found = []
+    mask = universe_mask
+    while True:
+        if hits(mask) and space.satisfiable(mask):
+            bits = [1 << bit for bit in range(space.n_bits) if (mask >> bit) & 1]
+            if not any(hits(mask & ~bit) for bit in bits):
+                found.append(mask)
+        if not mask:
+            return sorted(found)
+        mask = (mask - 1) & universe_mask
+
+
+class TestMMCSOracle:
+    @given(
+        edges=st.lists(
+            st.integers(0, _ORACLE_SPACE.full_mask), min_size=0, max_size=6
+        ),
+        universe_mask=st.one_of(
+            st.just(_ORACLE_SPACE.full_mask),
+            st.integers(0, _ORACLE_SPACE.full_mask),
+        ),
+    )
+    @example(edges=[], universe_mask=_ORACLE_SPACE.full_mask)
+    @example(edges=[0], universe_mask=_ORACLE_SPACE.full_mask)
+    @example(edges=[0b11, 0b1100], universe_mask=0b0101)
+    def test_matches_brute_force(self, edges, universe_mask):
+        space = _ORACLE_SPACE
+        found = mmcs_hitting_sets(space, edges, universe_mask=universe_mask)
+        assert len(found) == len(set(found)), "hitting set emitted twice"
+        assert sorted(found) == _brute_force_hitting_sets(
+            space, edges, universe_mask
+        )
+
+    def test_empty_family_and_infeasible(self):
+        space = _ORACLE_SPACE
+        assert mmcs_hitting_sets(space, []) == [0]
+        assert mmcs_hitting_sets(space, [0]) == []
+        assert mmcs_hitting_sets(space, [0b10], universe_mask=0b01) == []
+
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_satisfiability_table_matches_patterns(self, name):
+        spec = DATASETS[name]
+        space = build_predicate_space(
+            relation_from_rows(spec.header, spec.rows(30, 0))
+        )
+        for group in space.groups:
+            bits = sorted(group.bit_of_op.values())
+            states = {
+                sum(1 << bit for bit in chosen)
+                for size in range(len(bits) + 1)
+                for chosen in combinations(bits, size)
+            }
+            other_groups = space.full_mask & ~group.mask
+            for bit in bits:
+                assert space.satisfiable_states[bit] <= states
+                for state in states:
+                    joined = state | (1 << bit)
+                    expected = any(
+                        joined & ~pattern == 0 for pattern in group.patterns
+                    )
+                    assert (state in space.satisfiable_states[bit]) == expected
+                    assert space.satisfiable_with(state, bit) == expected
+                    # Bits of other groups never change the answer.
+                    assert space.satisfiable_with(state | other_groups, bit) == expected
+
+    def test_pairwise_satisfiable_triple_is_not(self):
+        """{≠, ≤, ≥} on one column: every pair is satisfiable (<, >, =),
+        the triple is not — so pairwise conflict masks cannot replace the
+        per-group table."""
+        space = _ORACLE_SPACE
+        ne, le, ge = (
+            space.bit("A", op, "A")
+            for op in (Operator.NE, Operator.LE, Operator.GE)
+        )
+        assert space.satisfiable_with(1 << ne, le)
+        assert space.satisfiable_with(1 << ne, ge)
+        assert space.satisfiable_with(1 << le, ge)
+        assert not space.satisfiable_with((1 << ne) | (1 << le), ge)
+
+
+class TestSearchTreePinned:
+    """The MMCS search tree of a static Tax-200 fit, pinned per dataset
+    seed: a kernel change that alters the tree (branch-edge choice,
+    pruning) changes ``search_nodes`` even when Σ stays the same."""
+
+    @pytest.mark.parametrize(
+        "seed, search_nodes, hitting_sets",
+        [(0, 21742, 6530), (1, 18682, 5510), (2, 20391, 5834)],
+    )
+    def test_tax_200_fit(self, seed, search_nodes, hitting_sets):
+        spec = DATASETS["Tax"]
+        relation = relation_from_rows(spec.header, spec.rows(200, seed))
+        discoverer = DCDiscoverer(relation)
+        discoverer.fit()
+        metrics = discoverer.instrumentation.metrics
+        assert metrics.counter("enumeration.search_nodes") == search_nodes
+        assert metrics.counter("enumeration.hitting_sets") == hitting_sets
+        assert len(discoverer.dc_masks) == hitting_sets
 
 
 class TestStaticEnumerators:
